@@ -796,6 +796,9 @@ def main(argv=None) -> int:
     bench.add_argument("--threshold", type=float, default=None,
                        help="allowed fractional speedup regression "
                             "(default: 0.25)")
+    bench.add_argument("--telemetry-threshold", type=float, default=None,
+                       help="allowed fractional telemetry overhead on "
+                            "the core hot loop (default: 0.03)")
 
     stats = sub.add_parser(
         "stats",
@@ -903,6 +906,9 @@ def main(argv=None) -> int:
         threshold = (args.threshold if args.threshold is not None
                      else DEFAULT_THRESHOLD)
         forwarded += ["--threshold", str(threshold)]
+        if args.telemetry_threshold is not None:
+            forwarded += ["--telemetry-threshold",
+                          str(args.telemetry_threshold)]
         return bench_main(forwarded)
     if args.command == "stats":
         return _cmd_stats(args.experiment, args.fast, args.seed,

@@ -196,17 +196,22 @@ class BTB:
 
     @property
     def current_domain(self) -> int:
+        """Security domain of the executing code.
+
+        A switch advances every set generation only under
+        ``config.btb_partitioning``, where it changes which entries a
+        lookup can see.  Without partitioning lookups are domain-blind
+        (:meth:`BTBEntry.matches`), so no lookup result — and no
+        cached superblock chain — can change; the new domain only
+        stamps entries allocated from now on."""
         return self._current_domain
 
     @current_domain.setter
     def current_domain(self, domain: int) -> None:
         if domain != self._current_domain:
             self._current_domain = domain
-            # Under partitioning a domain switch changes which entries a
-            # lookup can see; without it lookups are domain-blind, but
-            # newly allocated entries are stamped with the new domain,
-            # so bumping unconditionally keeps the invariant simple.
-            self._bump_all_sets()
+            if self.config.btb_partitioning:
+                self._bump_all_sets()
 
     def _bump_all_sets(self) -> None:
         """Whole-BTB visibility change: advance every set generation."""

@@ -19,19 +19,29 @@ and the fall-through layout.  Both execution engines use it:
 Cache key and invalidation
 --------------------------
 Windows are keyed by entry PC and stamped with the memory's
-``code_generation`` counter.  The counter bumps when
+``code_generation`` counter.  The counter bumps only when something a
+decode depends on changed:
 
-* a write lands on a page that holds cached decodes
-  (``VirtualMemory.write_bytes`` — self-modifying code), or
-* a page is mapped or unmapped (``PageTable.epoch`` — page swaps).
+* a write *changes* bytes on a page that holds cached decodes
+  (``VirtualMemory.write_bytes`` — self-modifying code); rewriting the
+  bytes already stored does not bump, or
+* a page that was not mapped is mapped, or a mapped page is unmapped
+  (``PageTable.epoch`` — page swaps); remapping an already-mapped page
+  does not bump.
 
-``set_perms`` deliberately does *not* bump it: decoded bytes are
-content, not permissions, and the controlled-channel attacker flips
-execute permission on every single step — thrashing the cache there
-would defeat the point.  Permissions are instead enforced live: the
-core fast path performs one execute check per window (equivalent to
-the warm slow path, because a 32-byte block never crosses a page), and
-the oracle skips checks exactly as its icache hit path always has.
+``set_perms`` and remaps deliberately do *not* bump it: decoded bytes
+are content, not permissions, and a single-step attacker flips
+execute permission and reloads its gadgets on every step — thrashing
+the cache there would defeat the point.  Permissions are instead
+enforced live: the core fast path performs one execute check per
+window (equivalent to the warm slow path, because a 32-byte block
+never crosses a page), and the oracle skips checks exactly as its
+icache hit path always has.
+
+Superblocks add the BTB's generations to that stamp.  A domain switch
+advances them only under ``btb_partitioning``: without it lookups are
+domain-blind, so attacker/victim switches keep every chain (see
+``BTB.current_domain``).
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ extraction path is exercised end-to-end in exp_fingerprint.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +30,13 @@ from ..victims.library import VictimProgram, build_gcd_victim
 from .common import RunRequest, register_experiment
 
 DEFAULT_INPUTS = {"ta": 2 * 3 * 17 * 23 * 31, "tb": 2 * 3 * 29 * 41}
+
+
+def label_seed(label: str) -> int:
+    """Measurement-noise seed for one matrix row.  A CRC, not
+    ``hash()``: string hashes are salted per process, which would make
+    the summary change from one run to the next."""
+    return zlib.crc32(label.encode()) & 0xFFFF
 
 
 def measured_function_pcs(victim: VictimProgram, inputs: dict, *,
@@ -102,7 +110,7 @@ def run_figure13_versions(*, inputs: Optional[dict] = None,
     }
     measured = {
         version: measured_function_pcs(victim, inputs,
-                                       seed=hash(version) & 0xFFFF)
+                                       seed=label_seed(version))
         for version, victim in victims.items()
     }
     references = {
@@ -132,7 +140,7 @@ def run_figure13_optlevels(*, inputs: Optional[dict] = None,
     }
     measured = {
         label: measured_function_pcs(victim, inputs,
-                                     seed=hash(label) & 0xFFFF)
+                                     seed=label_seed(label))
         for label, victim in victims.items()
     }
     references = {

@@ -75,8 +75,8 @@ class VirtualMemory:
         #: ``code_generation`` and the owning BTB's generation, so no
         #: eager invalidation happens here.
         self.superblock_cache: Dict[int, object] = {}
-        #: bumped whenever a write lands on a page holding cached
-        #: decodes (one half of :attr:`code_generation`).
+        #: bumped whenever a write changes bytes on a page holding
+        #: cached decodes (one half of :attr:`code_generation`).
         self._write_epoch = 0
         self.access_filter: Optional[AccessFilter] = None
         #: Current execution context (e.g. an Enclave object) used by
@@ -87,12 +87,18 @@ class VirtualMemory:
     def code_generation(self) -> int:
         """Monotonic counter identifying the current code contents.
 
-        Changes when executable bytes may have changed: writes
-        overlapping pages with cached decodes, and page map/unmap
-        (page swaps).  Permission changes do *not* affect it — decoded
-        bytes are content, and permissions are enforced at execution
-        time (``set_perms`` is the controlled-channel attacker's
-        per-single-step tool; bumping here would thrash the cache).
+        Changes only when what a cached decode depends on changed:
+
+        * a write that alters bytes near cached decodes (rewriting the
+          bytes already stored leaves it alone), and
+        * mapping a page that was not mapped, or unmapping one.
+
+        Remapping an already-mapped page and permission changes do
+        *not* affect it — decoded bytes are content, and permissions
+        are enforced at execution time.  A single-step attack flips
+        permissions (``set_perms``) and reloads its gadgets (remap plus
+        same-bytes rewrite) between steps; bumping on any of those
+        would thrash the cache.
         """
         return self._write_epoch + self.page_table.epoch
 
@@ -159,27 +165,35 @@ class VirtualMemory:
             return
         self._check(address, len(data), "write", check)
         icache = self.icache
-        if icache.code_pages:
-            first = (address - 9) >> PAGE_SHIFT
-            last = (address + len(data) - 1) >> PAGE_SHIFT
-            if any(vpn in icache.code_pages
-                   for vpn in range(first, last + 1)):
-                # The write may hit cached code: invalidate any decode
-                # overlapping the written range (instructions are at
-                # most 10 bytes long) and retire the code generation so
-                # decoded windows re-verify (self-modifying code).
-                self._write_epoch += 1
-                for stale in range(address - 9, address + len(data)):
-                    icache.pop(stale, None)
+        code_pages = icache.code_pages
+        # Only a write near cached code can invalidate a decode
+        # (instructions are at most 10 bytes long); data stores skip
+        # the byte compare and the invalidation sweep entirely.
+        near_code = bool(code_pages) and any(
+            vpn in code_pages
+            for vpn in range((address - 9) >> PAGE_SHIFT,
+                             ((address + len(data) - 1) >> PAGE_SHIFT) + 1))
+        changed = False
         cursor = address
         view = memoryview(data)
         while view:
             vpn = page_number(cursor)
             offset = cursor & PAGE_MASK
             chunk = min(len(view), PAGE_SIZE - offset)
-            self._backing(vpn)[offset:offset + chunk] = view[:chunk]
+            page = self._backing(vpn)
+            if near_code and not changed:
+                changed = page[offset:offset + chunk] != view[:chunk]
+            page[offset:offset + chunk] = view[:chunk]
             cursor += chunk
             view = view[chunk:]
+        if changed:
+            # Self-modifying code: drop every decode overlapping the
+            # written range and retire the code generation so decoded
+            # windows re-verify.  Rewriting the bytes already stored
+            # changes no decode, so it keeps every cache.
+            self._write_epoch += 1
+            for stale in range(address - 9, address + len(data)):
+                icache.pop(stale, None)
 
     # ------------------------------------------------------------------
     # typed access

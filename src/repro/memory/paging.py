@@ -46,19 +46,24 @@ class PageTable:
 
     def __init__(self) -> None:
         self._entries: Dict[int, PageEntry] = {}
-        #: bumped on map/unmap: remapping changes what bytes live at an
-        #: address, so cached decodes keyed on the code generation
-        #: (:mod:`repro.cpu.decoded`) must re-verify.  ``set_perms``
-        #: deliberately leaves it alone — permissions are enforced at
-        #: execution time, and the controlled-channel attacker flips
-        #: them on every single step.
+        #: bumped when a page becomes mapped or unmapped: that changes
+        #: which addresses hold bytes at all, so cached decodes keyed
+        #: on the code generation (:mod:`repro.cpu.decoded`) must
+        #: re-verify.  Remapping an already-mapped page and
+        #: ``set_perms`` leave it alone — the bytes stay where they
+        #: are, and permissions are enforced at execution time (the
+        #: controlled-channel attacker flips them on every single
+        #: step).
         self.epoch = 0
 
     def map_page(self, vpn: int, perms: str = "rw") -> PageEntry:
+        """Install a fresh entry (new perms, clear A/D bits) for
+        ``vpn``; only a newly mapped page advances :attr:`epoch`."""
         readable, writable, executable = _parse_perms(perms)
         entry = PageEntry(readable, writable, executable)
+        if vpn not in self._entries:
+            self.epoch += 1
         self._entries[vpn] = entry
-        self.epoch += 1
         return entry
 
     def unmap_page(self, vpn: int) -> None:

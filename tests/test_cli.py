@@ -31,3 +31,25 @@ def test_unknown_experiment(capsys):
 def test_requires_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_bench_forwards_every_flag(monkeypatch):
+    """``repro bench`` accepts the perf suite's flags (CI passes
+    ``--telemetry-threshold``) and forwards them verbatim."""
+    import repro.perf.suite as suite
+    seen = []
+
+    def fake_main(argv):
+        seen.append(list(argv))
+        return 0
+
+    monkeypatch.setattr(suite, "main", fake_main)
+    assert main(["bench", "--quick", "--out", "r.json",
+                 "--compare", "base.json",
+                 "--telemetry-threshold", "0.03"]) == 0
+    assert seen == [["--quick", "--out", "r.json",
+                     "--compare", "base.json",
+                     "--threshold", str(suite.DEFAULT_THRESHOLD),
+                     "--telemetry-threshold", "0.03"]]
+    assert main(["bench", "--threshold", "0.5"]) == 0
+    assert seen[-1] == ["--out", "BENCH_perf.json", "--threshold", "0.5"]

@@ -144,3 +144,28 @@ class TestPartitioning:
         btb.allocate(0x400010, 0x1, Kind.DIRECT_JUMP)
         btb.current_domain = 2
         assert btb.lookup(0x400000) is not None
+
+    def test_switch_without_partitioning_keeps_generations(self):
+        """Lookups are domain-blind without partitioning, so a switch
+        changes no lookup result and must not invalidate chains."""
+        btb = BTB(generation("skylake"))
+        btb.allocate(0x400010, 0x1, Kind.DIRECT_JUMP)
+        generation_before = btb.generation
+        set_gens_before = list(btb.set_gens)
+        btb.current_domain = 1
+        assert btb.generation == generation_before
+        assert btb.set_gens == set_gens_before
+        assert btb.lookup(0x400000) is not None
+        assert btb.allocate(0x400110, 0x2, Kind.DIRECT_JUMP).domain == 1
+
+    def test_switch_under_partitioning_bumps_every_set(self):
+        btb = BTB(generation("skylake", btb_partitioning=True))
+        btb.allocate(0x400010, 0x1, Kind.DIRECT_JUMP)
+        generation_before = btb.generation
+        set_gens_before = list(btb.set_gens)
+        btb.current_domain = 1
+        assert btb.generation == generation_before + 1
+        assert btb.set_gens == [gen + 1 for gen in set_gens_before]
+        assert btb.lookup(0x400000) is None     # domain 0 entry hidden
+        btb.current_domain = 1                  # no switch, no bump
+        assert btb.generation == generation_before + 1

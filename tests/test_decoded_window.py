@@ -1,15 +1,16 @@
 """Decoded-window cache: invalidation, permission asymmetry, deadlines.
 
 Covers the contract in DESIGN.md §9: windows are keyed by entry PC and
-``code_generation`` (write epoch + paging epoch), so writes to
-executable pages and remaps invalidate both decode caches in both
-engines — while ``set_perms`` deliberately does *not*, preserving the
-oracle/core permission asymmetry the controlled-channel attacker
-depends on.
+``code_generation`` (write epoch + paging epoch), so writes that change
+executable bytes and map/unmap of a page invalidate both decode caches
+in both engines — while same-bytes rewrites, remaps of a mapped page
+and ``set_perms`` deliberately do *not*, preserving the oracle/core
+permission asymmetry the controlled-channel attacker depends on.
 """
 
 import pytest
 
+from repro import telemetry
 from repro.cpu import (Core, InterpStop, MachineState, StopReason,
                       interpret, set_fast_path)
 from repro.cpu.decoded import build_window, fast_path_enabled, get_window
@@ -127,6 +128,125 @@ class TestRemapInvalidation:
         state = fresh_state(memory)
         assert interpret(state).reason is InterpStop.HALT
         assert state.regs["rax"] == 2
+
+
+# ----------------------------------------------------------------------
+# precise invalidation: rewrites and remaps that change nothing keep
+# every cache; real changes still reach both engines
+# ----------------------------------------------------------------------
+def _reload(memory, program):
+    for base, data in program.segments:
+        memory.write_bytes(base, data, check=False)
+
+
+def _warm(memory):
+    """Run the core fast, returning its cached window at ``BASE``."""
+    set_fast_path(True)
+    result, state = run_core(memory)
+    assert result.reason is StopReason.HALT
+    window = memory.window_cache[BASE]
+    assert window.generation == memory.code_generation
+    return window
+
+
+def _builds(memory):
+    """One more fast core run, with the window builds it needed."""
+    with telemetry.session() as sink:
+        result, state = run_core(memory)
+    return result, state, sink.snapshot().get("cpu.decode.window_builds", 0)
+
+
+def test_same_bytes_rewrite_keeps_windows():
+    memory = VirtualMemory()
+    program = constant_program(1)
+    program.load_into(memory, perms="rwx")
+    window = _warm(memory)
+    generation = memory.code_generation
+    _reload(memory, program)
+    assert memory.code_generation == generation
+    assert BASE in memory.icache
+    assert get_window(memory, BASE) is window
+    result, state, builds = _builds(memory)
+    assert result.reason is StopReason.HALT
+    assert state.regs["rax"] == 1
+    assert builds == 0
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_one_byte_change_after_same_bytes_rewrite_runs_new_code(fast):
+    memory = VirtualMemory()
+    program = constant_program(1)
+    program.load_into(memory, perms="rwx")
+    _warm(memory)
+    state = fresh_state(memory)
+    assert interpret(state).reason is InterpStop.HALT     # warm oracle
+    _reload(memory, program)
+    generation = memory.code_generation
+    # the movi's imm32 starts at +2; its low byte is the only change
+    memory.write_bytes(BASE + 2, b"\x05", check=False)
+    assert memory.code_generation != generation
+    set_fast_path(fast)
+    result, state = run_core(memory)
+    assert result.reason is StopReason.HALT
+    assert state.regs["rax"] == 5
+    state = fresh_state(memory)
+    assert interpret(state).reason is InterpStop.HALT
+    assert state.regs["rax"] == 5
+
+
+def test_same_bytes_straddling_pages_compare_both_pages():
+    memory = VirtualMemory()
+    memory.map_range(BASE, 2 * PAGE_SIZE, "rwx")
+    memory.icache[BASE + PAGE_SIZE - 4] = ("op", 8)   # code on both pages
+    memory.write_bytes(BASE + PAGE_SIZE - 2, b"\x00\x00\x00\x00",
+                       check=False)             # zeros over zeros
+    generation = memory.code_generation
+    memory.write_bytes(BASE + PAGE_SIZE - 2, b"\x00\x00\x00\x07",
+                       check=False)             # last byte on page two
+    assert memory.code_generation != generation
+    assert BASE + PAGE_SIZE - 4 not in memory.icache
+
+
+def test_remap_of_mapped_page_keeps_windows():
+    memory = VirtualMemory()
+    program = constant_program(1)
+    program.load_into(memory)
+    window = _warm(memory)
+    generation = memory.code_generation
+    program.load_into(memory)               # remap + same-bytes rewrite
+    memory.map_range(BASE, PAGE_SIZE, "rx")
+    assert memory.code_generation == generation
+    assert get_window(memory, BASE) is window
+    result, state, builds = _builds(memory)
+    assert state.regs["rax"] == 1
+    assert builds == 0
+
+
+def test_remap_to_non_executable_still_faults():
+    memory = VirtualMemory()
+    constant_program(1).load_into(memory)
+    _warm(memory)
+    generation = memory.code_generation
+    memory.map_range(BASE, PAGE_SIZE, "rw")
+    assert memory.code_generation == generation     # perms stay live
+    for fast in (False, True):
+        set_fast_path(fast)
+        result, state = run_core(memory)
+        assert result.reason is StopReason.PAGE_FAULT
+        assert state.rip == BASE
+
+
+def test_unmap_then_map_still_invalidates():
+    memory = VirtualMemory()
+    constant_program(1).load_into(memory)
+    _warm(memory)
+    generation = memory.code_generation
+    memory.page_table.unmap_page(BASE >> PAGE_SHIFT)
+    memory.map_range(BASE, PAGE_SIZE, "rx")
+    assert memory.code_generation == generation + 2
+    result, state, builds = _builds(memory)
+    assert state.regs["rax"] == 1
+    assert builds >= 1
 
 
 # ----------------------------------------------------------------------

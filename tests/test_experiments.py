@@ -87,3 +87,28 @@ def test_oblivious_leaks_nothing():
 
 def test_generation_sweep():
     assert run_generation_sweep().all_correct
+
+
+def test_versions_summary_is_independent_of_hash_salt():
+    """The Figure 13 noise seeds must not come from salted ``hash()``:
+    two processes with different ``PYTHONHASHSEED`` print the same
+    summary."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("from repro.experiments.common import RunRequest, run_experiment\n"
+            "print(run_experiment('versions', RunRequest(fast=True)))\n")
+    outputs = []
+    for salt in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=salt,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert "within-group min" in outputs[0]

@@ -12,7 +12,10 @@ Covers the invalidation edges DESIGN.md §14 promises:
   per-set generation signature and forces a rebuild on the next
   dispatch (unrelated-set churn does not);
 * retire-budget clips that would land mid-chain fall back to the
-  window path and stay bit-identical to the slow path at every stride.
+  window path and stay bit-identical to the slow path at every stride;
+* gadget reloads (remap + same-bytes rewrite) and domain switches
+  without BTB partitioning keep chains, while a real byte change or a
+  partitioned domain switch still invalidates them.
 
 Everything here runs the full fast-vs-slow observable comparison: the
 superblock executor commits cycles, traces, BTB and LBR effects, so
@@ -23,7 +26,8 @@ import pytest
 
 from repro import telemetry
 from repro.cpu import Core, MachineState, StopReason, set_fast_path
-from repro.cpu.config import DEFAULT_GENERATION
+from repro.cpu.config import (BTB_BACKENDS, DEFAULT_GENERATION,
+                              backend_generation)
 from repro.cpu.decoded import (Superblock, build_superblock,
                                fast_path_enabled)
 from repro.isa import Assembler
@@ -178,10 +182,10 @@ def test_self_modifying_store_in_chain_bails():
     asm = Assembler(base=BASE)
     asm.emit("movi", "rcx", 40)
     asm.emit("movi", "rax", 0)
-    # rbx points at the target instruction's immediate byte
     asm.align(32)
     asm.label("loop")
-    asm.emit("addi8", "rax", 1)
+    asm.emit("addi8", "rax", 1)          # imm8 at loop + 2
+    asm.emit("addi8", "rsi", 1)          # next imm8 for the first addi8
     asm.emit("dec", "rcx")
     asm.emit("store", "rbx", "rsi", 0)   # [rbx] <- rsi (8-byte store)
     asm.emit("test", "rcx", "rcx")
@@ -190,11 +194,13 @@ def test_self_modifying_store_in_chain_bails():
     program = asm.assemble()
 
     def setup(memory, state):
-        # every iteration stores the *same* byte the instruction
-        # already holds on a code page: the write epoch still bumps,
-        # which is exactly the invalidation trigger under test, while
-        # the architectural result stays obviously convergent.
-        target = BASE + 32          # the loop's own first byte
+        # rbx points at the first addi8's immediate byte and rsi holds
+        # the eight code bytes stored there.  Each iteration bumps
+        # rsi's low byte before the store, so every store really
+        # rewrites the immediate (1 -> 2 -> ... -> 41, no carry) and
+        # keeps the other seven bytes: the code generation flips on
+        # every pass, while the loop count stays fixed by rcx.
+        target = BASE + 32 + 2
         state.regs["rbx"] = target
         state.regs["rsi"] = int.from_bytes(
             memory.read_bytes(target, 8, check=False), "little")
@@ -341,3 +347,151 @@ def test_budget_clip_equivalence(stride):
 @pytest.mark.parametrize("stride", [3, 7, 13])
 def test_budget_clip_equivalence_nested(stride):
     assert_fast_matches_slow(nested_loops(4, 9), max_retired=stride)
+
+
+# ----------------------------------------------------------------------
+# edge 5: precise invalidation — what changes nothing keeps the chain
+# ----------------------------------------------------------------------
+LOOP_PC = BASE + 32
+
+
+def _warm_loop(config=DEFAULT_GENERATION):
+    """Run ``counted_loop(100)`` fast until a rerun needs no rebuild
+    (the first rerun still rebuilds once after the exit mispredict);
+    return its cached loop chain."""
+    set_fast_path(True)
+    program = counted_loop(100)
+    memory = VirtualMemory()
+    program.load_into(memory, perms="rwx")
+    core = Core(config)
+    for _ in range(2):
+        state = MachineState(memory, rip=BASE)
+        state.setup_stack(0x7FFF_0000)
+        assert core.run(state).reason is StopReason.HALT
+    sb = memory.superblock_cache.get(LOOP_PC)
+    assert isinstance(sb, Superblock)
+    return program, memory, core, sb
+
+
+def _rerun(memory, core):
+    """Run the loop again on the same core; return rax and counters."""
+    with telemetry.session() as sink:
+        core.attach_telemetry(sink)
+        state = MachineState(memory, rip=BASE)
+        state.setup_stack(0x7FFF_0000)
+        assert core.run(state).reason is StopReason.HALT
+    return state.regs["rax"], sink.snapshot()
+
+
+def test_gadget_reload_keeps_chain():
+    """Reloading identical code (remap of the mapped pages plus a
+    same-bytes rewrite) changes no decode: no window or chain
+    rebuild."""
+    program, memory, core, sb = _warm_loop()
+    generation = memory.code_generation
+    program.load_into(memory, perms="rwx")
+    assert memory.code_generation == generation
+    assert memory.superblock_cache[LOOP_PC] is sb
+    rax, counters = _rerun(memory, core)
+    assert rax == 100 * 3
+    assert counters.get("cpu.superblock.builds", 0) == 0
+    assert counters.get("cpu.superblock.invalidations", 0) == 0
+    assert counters.get("cpu.decode.window_builds", 0) == 0
+    assert counters.get("cpu.superblock.hits", 0) >= 1
+
+
+def test_real_byte_change_after_reload_rebuilds_chain():
+    program, memory, core, sb = _warm_loop()
+    program.load_into(memory, perms="rwx")
+    memory.write_bytes(LOOP_PC + 2, b"\x05", check=False)  # addi8 imm
+    assert sb.code_generation != memory.code_generation
+    rax, counters = _rerun(memory, core)
+    assert rax == 100 * 5
+    assert counters.get("cpu.superblock.invalidations", 0) >= 1
+    assert counters.get("cpu.superblock.builds", 0) >= 1
+
+
+def test_domain_switch_keeps_chain_without_partitioning():
+    program, memory, core, sb = _warm_loop()
+    set_gens = list(core.btb.set_gens)
+    core.context_switch(domain=1)
+    assert core.btb.set_gens == set_gens
+    assert sb.btb_valid(core.btb)
+    rax, counters = _rerun(memory, core)
+    assert rax == 100 * 3
+    assert counters.get("cpu.superblock.builds", 0) == 0
+    assert counters.get("cpu.superblock.invalidations", 0) == 0
+
+
+def test_domain_switch_under_partitioning_invalidates_chain():
+    config = DEFAULT_GENERATION.with_(btb_partitioning=True)
+    program, memory, core, sb = _warm_loop(config)
+    jne_pc = sb.links[-1].term_pc
+    assert core.btb.peek(jne_pc) is not None
+    core.context_switch(domain=1)
+    assert not sb.btb_valid(core.btb)
+    assert core.btb.peek(jne_pc) is None      # domain 0's entry hidden
+    rax, counters = _rerun(memory, core)
+    assert rax == 100 * 3
+    assert counters.get("cpu.superblock.invalidations", 0) >= 1
+
+
+GADGET_BASE = BASE + (1 << 32)      # 4 GiB away: aliases on intel
+
+
+def gadget(count):
+    """A probe-gadget stand-in: a short counted loop.  Variants differ
+    only in the loop-count immediate, so swapping them is a real
+    one-byte change at an identical layout."""
+    asm = Assembler(base=GADGET_BASE)
+    asm.emit("movi", "rcx", count)
+    asm.label("spin")
+    asm.emit("dec", "rcx")
+    asm.emit("jne8", "spin")
+    asm.emit("hlt")
+    return asm.assemble()
+
+
+def _single_step_attack(config, *, fast):
+    """Single-step a victim; between steps switch domains, reload a
+    gadget (mostly identical bytes, a real change every 16 steps) and
+    run it — the NV-S shape.  Returns every observable."""
+    previous = set_fast_path(fast)
+    try:
+        victim_memory = VirtualMemory()
+        nested_loops(3, 6).load_into(victim_memory, perms="rx")
+        victim = MachineState(victim_memory, rip=BASE)
+        victim.setup_stack(0x7FFF_0000)
+        attacker_memory = VirtualMemory()
+        gadgets = (gadget(2), gadget(3))
+        results = []
+        with telemetry.session():
+            core = Core(config)
+            for step in range(10_000):
+                core.context_switch(domain=1)
+                result = core.run(victim, collect_trace=True,
+                                  max_retired=1)
+                results.append(result)
+                core.context_switch(domain=0)
+                gadgets[(step // 16) % 2].load_into(attacker_memory)
+                attacker = MachineState(attacker_memory, rip=GADGET_BASE)
+                attacker.setup_stack(0x7FFF_0000)
+                results.append(core.run(attacker, collect_trace=True))
+                if result.reason is StopReason.HALT:
+                    break
+            else:
+                raise AssertionError("victim never halted")
+        return _observables(core, victim, results)
+    finally:
+        set_fast_path(previous)
+
+
+@pytest.mark.parametrize("partitioning", [False, True])
+@pytest.mark.parametrize("backend", tuple(BTB_BACKENDS))
+def test_single_step_reload_and_domain_switch_equivalence(backend,
+                                                           partitioning):
+    config = backend_generation(backend, btb_partitioning=partitioning)
+    slow = _single_step_attack(config, fast=False)
+    fast = _single_step_attack(config, fast=True)
+    assert fast == slow
+    assert fast["regs"]["rax"] == 3 * 6

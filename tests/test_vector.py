@@ -163,8 +163,8 @@ def self_modifying_lane(index, seed):
     epoch moves mid-run and the group must detect the divergence."""
     asm = Assembler(base=BASE)
     asm.emit("movi", "rbx", BASE + 64)
-    asm.emit("movi", "rsi", 0)
-    asm.emit("store", "rbx", "rsi", 0)   # write a code-holding page
+    asm.emit("movi", "rsi", 0x5A5A)
+    asm.emit("store", "rbx", "rsi", 0)   # change bytes on a code page
     asm.emit("movi", "rax", seed)
     asm.emit("hlt")
     program = asm.assemble()
