@@ -50,8 +50,9 @@ from ..memory.address import block_end
 from .btb import BTB, BTBEntry
 from .config import CpuGeneration, DEFAULT_GENERATION
 from .costs import EXTRA_ISSUE_COST
-from .decoded import (Superblock, build_superblock, build_window,
-                      decode_at, fast_path_enabled)
+from .decoded import (DecodedWindow, Superblock, build_superblock,
+                      build_window, decode_at, fast_path_enabled,
+                      suffix_window)
 from .fusion import can_fuse
 from .interp import (_DEADLINE_STRIDE, _check_deadline_now,
                      _effective_deadline)
@@ -126,8 +127,38 @@ class _SpecMemory:
         return None
 
 
+def _window_at(memory, window_cache, pc: int) -> DecodedWindow:
+    """Current-generation decoded window for ``pc``: cached, sliced
+    from a window of the same block, or built."""
+    window = window_cache.get(pc)
+    if window is None or window.generation != memory.code_generation:
+        window = suffix_window(memory, pc) or build_window(memory, pc)
+    return window
+
+
+def _fetch_check(memory, pc: int) -> None:
+    """The execute checks of one fetch at ``pc`` (what ``_decode`` does
+    on an icache hit).  Filter decisions and permissions are page-
+    granular, so one call covers every instruction of a 32-byte block
+    (DESIGN §9)."""
+    if memory.access_filter is not None:
+        memory.access_filter(pc, 1, "execute", memory.context)
+    memory.page_table.check(pc, "execute")
+
+
 class Core:
-    """One simulated hardware thread's shared micro-architecture."""
+    """One simulated hardware thread's shared micro-architecture.
+
+    With the fast path on, the front end's run-ahead past a stop — the
+    fetch-ahead drain and the speculative lookahead — consumes decoded
+    windows too: wherever the open prediction cannot interact with a
+    window's prefix (the gate ``Core.run`` uses), the drain jumps to
+    the window's ``resume_pc`` and the lookahead runs its thunks over
+    the store-buffer overlay, with one execute check per block.
+    Terminators, predictions inside a prefix, junk bytes and ``lfence``
+    stay in the per-instruction code; the drain skips the decoder on
+    junk bytes cached as such.
+    """
 
     #: hard runaway guard (architectural instructions per run call)
     DEFAULT_INSTRUCTION_GUARD = 20_000_000
@@ -237,22 +268,24 @@ class Core:
 
         def result(reason: StopReason,
                    fault: Optional[PageFault] = None) -> RunResult:
+            fp_lookahead = 0
             if reason is StopReason.RETIRE_LIMIT:
                 # The front end is ahead of retirement: it finishes
                 # decoding the in-flight prediction window(s), firing
                 # decode-time BTB deallocations for instructions that
                 # will never retire (§6.3).
-                self._drain_fetch_ahead(state, pw)
+                self._drain_fetch_ahead(state, pw, fast)
                 do_spec = (self.config.spec_lookahead > 0
                            if speculate_on_stop is None
                            else speculate_on_stop)
                 if do_spec:
-                    self._speculative_lookahead(state)
+                    fp_lookahead = self._speculative_lookahead(state,
+                                                               fast)
             elif reason in (StopReason.HALT, StopReason.SYSCALL):
                 # Fetch ran ahead of the halting/trapping instruction
                 # too: the rest of its prediction window was decoded,
                 # so decode-time BTB effects still fire.
-                self._drain_fetch_ahead(state, pw)
+                self._drain_fetch_ahead(state, pw, fast)
             tel = self._tel
             if tel is not None:
                 tel.count("cpu.core.runs")
@@ -266,6 +299,9 @@ class Core:
                               fp_instructions)
                 if fp_bailouts:
                     tel.count("cpu.core.fastpath.bailouts", fp_bailouts)
+                if fp_lookahead:
+                    tel.count("cpu.core.fastpath.lookahead_instructions",
+                              fp_lookahead)
                 if sb_builds:
                     tel.count("cpu.superblock.builds", sb_builds)
                 if sb_hits:
@@ -411,10 +447,7 @@ class Core:
             # generic loop below — the differential suite proves the two
             # paths bit-identical on state, traces, cycles, BTB and LBR.
             if fast and memory.access_filter is None:
-                window = window_cache.get(pc)
-                if (window is None
-                        or window.generation != memory.code_generation):
-                    window = build_window(memory, pc)
+                window = _window_at(memory, window_cache, pc)
                 k = window.count
                 if k and (pw.pred_end is None
                           or pw.pred_end >= window.resume_pc):
@@ -899,7 +932,8 @@ class Core:
     # fetch-ahead drain past a single-step stop (§6.3)
     # ------------------------------------------------------------------
     def _drain_fetch_ahead(self, state: MachineState,
-                           pw: Optional[_PredictionWindow]) -> None:
+                           pw: Optional[_PredictionWindow],
+                           fast: bool = False) -> None:
         """Finish fetching+decoding the in-flight prediction window(s).
 
         Runs in decode-only mode: no architectural state changes, no
@@ -910,7 +944,9 @@ class Core:
         redirects and decode-resolvable direct jumps; stops at
         conditional/indirect transfers it cannot resolve, at NX pages
         (speculative fetches do not fault architecturally), and after
-        ``config.drain_windows`` windows.
+        ``config.drain_windows`` windows.  With ``fast``, a decoded
+        window's prefix the prediction cannot touch is skipped in one
+        step, and cached junk bytes skip the decoder.
         """
         budget = self.config.drain_windows
         if budget <= 0 or pw is None:
@@ -918,6 +954,9 @@ class Core:
             # squash drained the pipeline and the pending interrupt
             # preempts the refetch, so there is nothing in flight.
             return
+        memory = state.memory
+        window_cache = memory.window_cache if fast else None
+        checked_limit = None     # block whose page the window path checked
         cur = state.rip
         windows_used = 1
         guard = 0
@@ -933,11 +972,34 @@ class Core:
             if cur >= pw.limit:
                 pw = None
                 continue
-            try:
-                instruction, length = self._decode(state, cur)
-            except PageFault:
-                return          # NX page: speculative fetch stalls
-            except InvalidInstruction:
+            junk = False
+            if window_cache is not None:
+                window = _window_at(memory, window_cache, cur)
+                skip = window.count and (pw.pred_end is None
+                                         or pw.pred_end >= window.resume_pc)
+                junk = window.junk
+                if skip or junk:
+                    if checked_limit != window.limit:
+                        try:
+                            _fetch_check(memory, cur)
+                        except PageFault:
+                            return      # NX page: speculative fetch stalls
+                        checked_limit = window.limit
+                    if skip:
+                        # Nothing in the prefix can settle or false-hit:
+                        # decoding it only re-derives resume_pc.  The
+                        # guard still counts one step per instruction.
+                        guard += window.count - 1
+                        cur = window.resume_pc
+                        continue
+            if not junk:
+                try:
+                    instruction, length = self._decode(state, cur)
+                except PageFault:
+                    return          # NX page: speculative fetch stalls
+                except InvalidInstruction:
+                    junk = True
+            if junk:
                 # Junk bytes still flow through the decoders (real
                 # ISAs decode almost anything); a prediction claiming
                 # a branch ends inside junk is a false hit like any
@@ -981,17 +1043,27 @@ class Core:
     # ------------------------------------------------------------------
     # speculative look-ahead past a single-step stop (§6.3)
     # ------------------------------------------------------------------
-    def _speculative_lookahead(self, state: MachineState) -> None:
+    def _speculative_lookahead(self, state: MachineState,
+                               fast: bool = False) -> int:
         """Let the front end run ``spec_lookahead`` more instructions,
-        updating the BTB but never committing architectural state."""
+        updating the BTB but never committing architectural state.
+
+        Returns how many of them ran as decoded-window thunks (only
+        with ``fast``; the rest went through ``execute``).
+        """
         depth = self.config.spec_lookahead
         if depth <= 0:
-            return
-        spec_state = MachineState(memory=_SpecMemory(state.memory),
+            return 0
+        memory = state.memory
+        window_cache = memory.window_cache if fast else None
+        checked_limit = None     # block whose page the window path checked
+        from_windows = 0
+        spec_state = MachineState(memory=_SpecMemory(memory),
                                   rip=state.rip)
         spec_state.regs = state.regs.copy()
         pw: Optional[_PredictionWindow] = None
-        for _ in range(depth):
+        remaining = depth
+        while remaining > 0:
             pc = spec_state.rip
             if pw is None:
                 pw = self._open_window(pc)
@@ -999,20 +1071,49 @@ class Core:
                 self._false_hit(pw, pc, charge=False)
             if pc >= pw.limit:
                 pw = self._open_window(pc)
+            if window_cache is not None:
+                window = _window_at(memory, window_cache, pc)
+                if window.count and (pw.pred_end is None
+                                     or pw.pred_end >= window.resume_pc):
+                    if checked_limit != window.limit:
+                        try:
+                            _fetch_check(memory, pc)
+                        except PageFault:
+                            return from_windows
+                        checked_limit = window.limit
+                    # No prefix item can settle or false-hit; the
+                    # prefix is sequential, so it only runs its thunks.
+                    # ``lfence`` serializes: stop in front of it.
+                    k = min(window.lfence_at, remaining)
+                    thunks = window.thunks
+                    i = 0
+                    try:
+                        while i < k:
+                            thunks[i](spec_state)
+                            i += 1
+                    except Exception:
+                        return from_windows + i  # spec-path trap
+                    from_windows += k
+                    if k < window.count:
+                        return from_windows  # lfence, or depth used up
+                    remaining -= k
+                    spec_state.rip = window.resume_pc
+                    continue
+            remaining -= 1
             try:
                 instruction, length = self._decode(spec_state, pc)
             except (PageFault, InvalidInstruction):
-                return
+                return from_windows
             if instruction.mnemonic == "lfence":
-                return  # serializing: speculation drains
+                return from_windows  # serializing: speculation drains
             predicted_here = self._settle_prediction(
                 pw, pc, length, instruction, charge=False)
             try:
                 outcome = execute(spec_state, instruction, pc)
             except Exception:
-                return  # any spec-path trap just drains the pipeline
+                return from_windows  # any spec-path trap drains
             if outcome.halt or outcome.syscall:
-                return
+                return from_windows
             if instruction.is_control and outcome.taken:
                 entry = pw.entry if predicted_here else None
                 if entry is not None and entry.target != outcome.next_pc:
@@ -1022,14 +1123,15 @@ class Core:
                     # speculation here.
                     self.btb.update_target(entry, outcome.next_pc,
                                            instruction.kind)
-                    return
+                    return from_windows
                 if entry is None:
                     self.btb.allocate(
                         self.btb.anchor_pc(pc + length - 1, length),
                         outcome.next_pc, instruction.kind)
-                    return   # mispredicted: squash ends speculation
+                    return from_windows  # mispredicted: squash ends it
                 pw = None    # correctly predicted: keep speculating
             elif instruction.is_control and pw.entry is not None \
                     and predicted_here:
-                return       # predicted taken, fell through: squash
+                return from_windows  # predicted taken, fell through
             spec_state.rip = outcome.next_pc
+        return from_windows

@@ -47,13 +47,14 @@ domain-blind, so attacker/victim switches keep every chain (see
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..errors import DecodeError, InvalidInstruction, PageFault
+from ..errors import BadOpcode, DecodeError, InvalidInstruction, PageFault
 from ..isa.encoding import decode as decode_bytes
 from ..isa.instructions import Instruction, Kind, SPECS_BY_OPCODE
-from ..memory.address import block_end
+from ..memory.address import PAGE_SHIFT, block_base, block_end
 from .btb import reconstruct_end_byte
 from .costs import EXTRA_ISSUE_COST, MEM_WRITERS
 from .fusion import can_fuse
@@ -92,13 +93,14 @@ def decode_at(memory, pc: int) -> Tuple[Instruction, int]:
     The shared miss path of ``interp._fetch`` and ``Core._decode``:
     execute-permission-checked fetch, opcode validation, decode, icache
     insert.  Raises :class:`InvalidInstruction` for junk bytes (decode
-    failures included) and lets :class:`PageFault` propagate.
+    failures included; :class:`BadOpcode` when the first byte alone
+    decided it) and lets :class:`PageFault` propagate.
     """
     telemetry.count("cpu.decode.misses")
     first = memory.read_bytes(pc, 1, access="execute")
     spec = SPECS_BY_OPCODE.get(first[0])
     if spec is None:
-        raise InvalidInstruction(f"bad opcode {first[0]:#04x} at {pc:#x}")
+        raise BadOpcode(f"bad opcode {first[0]:#04x} at {pc:#x}")
     blob = memory.read_bytes(pc, spec.length, access="execute")
     try:
         instruction, length = decode_bytes(blob, 0)
@@ -113,13 +115,14 @@ class DecodedWindow:
 
     __slots__ = ("entry_pc", "generation", "limit", "pcs", "instructions",
                  "thunks", "extras", "count", "resume_pc", "has_store",
-                 "fuse_holdback", "terminator", "decode_error")
+                 "fuse_holdback", "terminator", "decode_error", "junk",
+                 "lfence_at")
 
     def __init__(self, entry_pc: int, generation: int, limit: int,
                  pcs: List[int], instructions: List[Instruction],
                  thunks: list, extras: List[float], resume_pc: int,
-                 has_store: bool, terminator: Optional[Instruction],
-                 decode_error: bool):
+                 terminator: Optional[Instruction], decode_error: bool,
+                 junk: bool = False):
         self.entry_pc = entry_pc
         self.generation = generation
         self.limit = limit
@@ -132,9 +135,17 @@ class DecodedWindow:
         #: the terminator, the undecodable byte, or the fall-through
         #: into the next block.
         self.resume_pc = resume_pc
-        self.has_store = has_store
+        self.has_store = any(instruction.spec.mnemonic in _MEM_WRITERS
+                             for instruction in instructions)
         self.terminator = terminator
         self.decode_error = decode_error
+        #: empty window whose entry byte is a bad opcode (cached junk)
+        self.junk = junk
+        #: index of the first ``lfence`` in the prefix (``count`` when
+        #: there is none): speculative run-ahead stops before it
+        self.lfence_at = next(
+            (i for i, instruction in enumerate(instructions)
+             if instruction.spec.mnemonic == "lfence"), self.count)
         #: leave the last item to the generic loop when it could
         #: macro-fuse with what follows: a Jcc terminator, or an
         #: unknown successor (window ran to the boundary / stopped on
@@ -144,6 +155,15 @@ class DecodedWindow:
             instructions and instructions[-1].spec.fusible
             and (terminator is None
                  or terminator.spec.kind is Kind.COND_JUMP))
+
+    def suffix(self, index: int) -> "DecodedWindow":
+        """The window entered at ``pcs[index]``: the same decode from
+        that item on, sharing the compiled thunks."""
+        return DecodedWindow(
+            self.pcs[index], self.generation, self.limit,
+            self.pcs[index:], self.instructions[index:],
+            self.thunks[index:], self.extras[index:], self.resume_pc,
+            self.terminator, self.decode_error)
 
     def __repr__(self) -> str:                     # pragma: no cover
         return (f"DecodedWindow({self.entry_pc:#x}, n={self.count}, "
@@ -157,9 +177,16 @@ def build_window(memory, entry_pc: int) -> DecodedWindow:
     non-sequential instruction (the window terminator: control
     transfer, ``syscall`` or ``hlt``), or at an undecodable/unfetchable
     byte — the latter is *not* an error here; the generic loop
-    reproduces the fault at ``resume_pc``.  Empty error windows are not
-    cached so a transient fault (e.g. execute permission revoked during
-    a controlled-channel probe) does not stick.
+    reproduces the fault at ``resume_pc``.
+
+    An empty error window is cached only when the entry byte is a bad
+    opcode (:class:`BadOpcode`): that verdict depends on one byte of
+    the entry's own page, so the page joins ``icache.code_pages`` and
+    a write that changes the byte moves the code generation.  Faults
+    are never cached (execute permission revoked during a
+    controlled-channel probe must not stick), nor are decode failures
+    that read past the first byte (the read may cross into a page
+    whose permissions change later).
     """
     telemetry.count("cpu.decode.window_builds")
     generation = memory.code_generation
@@ -169,17 +196,18 @@ def build_window(memory, entry_pc: int) -> DecodedWindow:
     instructions: List[Instruction] = []
     thunks: list = []
     extras: List[float] = []
-    has_store = False
     terminator: Optional[Instruction] = None
     decode_error = False
+    junk = False
     pc = entry_pc
     while pc < limit:
         cached = icache.get(pc)
         try:
             instruction, length = (cached if cached is not None
                                    else decode_at(memory, pc))
-        except (PageFault, InvalidInstruction):
+        except (PageFault, InvalidInstruction) as error:
             decode_error = True
+            junk = not pcs and isinstance(error, BadOpcode)
             break
         if instruction.spec.kind is not Kind.SEQUENTIAL:
             terminator = instruction
@@ -188,20 +216,48 @@ def build_window(memory, entry_pc: int) -> DecodedWindow:
         instructions.append(instruction)
         thunks.append(compile_straightline(instruction, pc))
         extras.append(EXTRA_ISSUE_COST.get(instruction.spec.mnemonic, 0.0))
-        if instruction.spec.mnemonic in _MEM_WRITERS:
-            has_store = True
         pc += length
     window = DecodedWindow(entry_pc, generation, limit, pcs, instructions,
-                           thunks, extras, pc, has_store, terminator,
-                           decode_error)
+                           thunks, extras, pc, terminator, decode_error, junk)
     cache = getattr(memory, "window_cache", None)
-    if cache is not None and not (decode_error and not pcs):
+    if cache is not None and (pcs or not decode_error or junk):
         cache[entry_pc] = window
+        if junk:
+            icache.code_pages.add(entry_pc >> PAGE_SHIFT)
     return window
 
 
+def suffix_window(memory, pc: int) -> Optional[DecodedWindow]:
+    """Derive and cache the window for a mid-block ``pc`` by slicing a
+    current-generation window of the same block that has ``pc`` on an
+    instruction boundary; ``None`` when there is none.
+
+    A single-stepped victim enters every PC of a block in turn, so
+    without this every step would decode and compile a window used
+    once.  The slice needs no decode and shares the thunk objects.
+    Windows that stopped on a decode error are not sliced: a fresh
+    build would retry that decode, so the slice could differ from it.
+    """
+    cache = memory.window_cache
+    generation = memory.code_generation
+    for entry_pc in range(pc - 1, block_base(pc) - 1, -1):
+        window = cache.get(entry_pc)
+        if (window is None or window.generation != generation
+                or window.decode_error or pc >= window.resume_pc):
+            continue
+        pcs = window.pcs
+        index = bisect_left(pcs, pc)
+        if index < window.count and pcs[index] == pc:
+            telemetry.count("cpu.decode.suffix_windows")
+            suffix = window.suffix(index)
+            cache[pc] = suffix
+            return suffix
+    return None
+
+
 def get_window(memory, pc: int) -> Optional[DecodedWindow]:
-    """Current-generation window for ``pc``, building it on demand.
+    """Current-generation window for ``pc``: cached, sliced from a
+    window of the same block (:func:`suffix_window`), or built.
 
     Returns ``None`` when ``memory`` has no window cache (exotic
     memory wrappers like the speculative store-buffer overlay).
@@ -212,7 +268,7 @@ def get_window(memory, pc: int) -> Optional[DecodedWindow]:
     window = cache.get(pc)
     if window is not None and window.generation == memory.code_generation:
         return window
-    return build_window(memory, pc)
+    return suffix_window(memory, pc) or build_window(memory, pc)
 
 
 # ----------------------------------------------------------------------

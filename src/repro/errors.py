@@ -123,6 +123,11 @@ class InvalidInstruction(CpuError):
     """The core fetched bytes that do not decode (usually a wild jump)."""
 
 
+class BadOpcode(InvalidInstruction):
+    """The first fetched byte is not an opcode: the decode read nothing
+    past it, so the verdict depends on that one byte alone."""
+
+
 class VectorizationError(CpuError):
     """A lockstep many-seeds group lost the invariant that makes
     sharing decode state sound (diverging code generations, mismatched

@@ -22,7 +22,7 @@ x86's ``0x70+cc`` short-Jcc block.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..errors import EncodeError
@@ -167,15 +167,16 @@ class InstrSpec:
     cond: Optional[Cond] = None
     #: True for ALU ops that can macro-fuse with a following jcc.
     fusible: bool = False
+    #: total encoded length in bytes (derived from ``fmt``)
+    length: int = field(init=False, compare=False, repr=False)
+    #: does the opcode transfer control (derived from ``kind``)
+    is_control: bool = field(init=False, compare=False, repr=False)
 
-    @property
-    def length(self) -> int:
-        """Total encoded length in bytes."""
-        return 1 + _FORMAT_OPERAND_BYTES[self.fmt]
-
-    @property
-    def is_control(self) -> bool:
-        return self.kind in CONTROL_KINDS
+    def __post_init__(self) -> None:
+        # Precomputed: the front end reads both on every decode.
+        object.__setattr__(self, "length",
+                           1 + _FORMAT_OPERAND_BYTES[self.fmt])
+        object.__setattr__(self, "is_control", self.kind in CONTROL_KINDS)
 
 
 def _build_table() -> Tuple[Dict[int, InstrSpec], Dict[str, InstrSpec]]:

@@ -7,7 +7,9 @@ setup) without cost.
 
 The ``access_filter`` hook lets the SGX layer enforce EPC isolation:
 it is consulted *before* page-table checks and can reject an access
-outright (raising :class:`ProtectionFault`) or redact reads.
+outright (raising :class:`ProtectionFault`) or redact reads.  Its
+decisions must be page-granular, like the page table's (see
+:data:`AccessFilter`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from .address import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, page_number
 from .paging import PageEntry, PageTable
 
 #: access_filter(address, size, access, context) -> None or raises.
+#: Decisions must be page-granular: for a given access kind and
+#: context, every address of one page gets the same verdict, and the
+#: filter keeps no state a call could change.  The CPU front end relies
+#: on this to filter one fetch per 32-byte block rather than one per
+#: instruction when it runs ahead on decoded windows.
 AccessFilter = Callable[[int, int, str, Optional[object]], None]
 
 #: pre-compiled u64 codec for the typed-access fast paths.
@@ -34,7 +41,9 @@ class DecodeCache(dict):
     whether a write can possibly invalidate cached code — data stores
     skip the invalidation sweep entirely, and only genuinely
     code-modifying writes bump the code generation counter that keys
-    the decoded-window cache (:mod:`repro.cpu.decoded`).
+    the decoded-window cache (:mod:`repro.cpu.decoded`).  The window
+    builder also registers the page of every bad-opcode byte it caches
+    as junk, which holds no icache entry of its own.
     """
 
     __slots__ = ("code_pages",)

@@ -14,6 +14,7 @@ from repro import telemetry
 from repro.cpu import (Core, InterpStop, MachineState, StopReason,
                       interpret, set_fast_path)
 from repro.cpu.decoded import build_window, fast_path_enabled, get_window
+from repro.errors import InvalidInstruction
 from repro.isa import Assembler
 from repro.memory import VirtualMemory
 from repro.memory.address import PAGE_SHIFT, PAGE_SIZE
@@ -354,6 +355,121 @@ def test_transient_revocation_does_not_pin_empty_windows():
     result, state = run_core(memory)
     assert result.reason is StopReason.HALT
     assert state.regs["rax"] == 3
+
+
+# ----------------------------------------------------------------------
+# cached junk bytes, faults that are never cached, suffix windows
+# ----------------------------------------------------------------------
+JUNK_PAGE = BASE + 4 * PAGE_SIZE
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_write_over_cached_bad_opcode_runs_new_code(fast):
+    """A bad-opcode window is cached on a page holding no other
+    decode; its page is registered, so writing a real instruction
+    there moves the generation and both engines run the new code."""
+    set_fast_path(fast)
+    memory = VirtualMemory()
+    memory.map_range(JUNK_PAGE, PAGE_SIZE, "rwx")      # all zero bytes
+    state = MachineState(memory, rip=JUNK_PAGE)
+    state.setup_stack(0x7FFF_0000)
+    with pytest.raises(InvalidInstruction):
+        Core().run(state)
+    if fast:
+        window = memory.window_cache[JUNK_PAGE]
+        assert window.junk and window.count == 0
+        assert window.generation == memory.code_generation
+        assert JUNK_PAGE >> PAGE_SHIFT in memory.icache.code_pages
+    assert not any(pc >> PAGE_SHIFT == JUNK_PAGE >> PAGE_SHIFT
+                   for pc in memory.icache)
+    generation = memory.code_generation
+    asm = Assembler(base=JUNK_PAGE)
+    asm.emit("movi", "rax", 5)
+    asm.emit("hlt")
+    for base, data in asm.assemble().segments:
+        memory.write_bytes(base, data, check=False)
+    # with the fast path the cached junk window must go stale (without
+    # one, nothing on the page is cached and nothing needs to move)
+    assert (memory.code_generation != generation) == fast
+    state = MachineState(memory, rip=JUNK_PAGE)
+    state.setup_stack(0x7FFF_0000)
+    assert Core().run(state).reason is StopReason.HALT
+    assert state.regs["rax"] == 5
+    state = MachineState(memory, rip=JUNK_PAGE)
+    state.setup_stack(0x7FFF_0000)
+    assert interpret(state).reason is InterpStop.HALT
+    assert state.regs["rax"] == 5
+
+
+def test_run_ahead_nx_fault_is_not_cached_as_junk():
+    """The fetch-ahead drain stalls at an NX page without caching an
+    error window there; once execute permission returns, the bytes
+    decode and run."""
+    set_fast_path(True)
+    asm = Assembler(base=BASE)
+    asm.org(BASE + PAGE_SIZE - 14)
+    asm.label("start")
+    asm.emit("movi", "rax", 1)                  # stepped
+    asm.emit("movi", "rbx", 2)                  # ends on the page end
+    asm.emit("movi", "rcx", 3)                  # next page
+    asm.emit("hlt")
+    program = asm.assemble()
+    memory = VirtualMemory()
+    program.load_into(memory)
+    next_page = BASE + PAGE_SIZE
+    memory.protect(next_page, PAGE_SIZE, "r")
+    state = MachineState(memory, rip=program.address_of("start"))
+    state.setup_stack(0x7FFF_0000)
+    core = Core()
+    assert core.run(state, max_retired=1).reason is StopReason.RETIRE_LIMIT
+    assert next_page not in memory.window_cache
+    assert core.run(state, max_retired=1).reason is StopReason.RETIRE_LIMIT
+    assert core.run(state).reason is StopReason.PAGE_FAULT
+    assert next_page not in memory.window_cache
+    memory.protect(next_page, PAGE_SIZE, "rx")
+    assert core.run(state).reason is StopReason.HALT
+    assert state.regs["rcx"] == 3
+    assert get_window(memory, next_page).count == 1
+
+
+def test_suffix_window_shares_thunks_and_rebuilds_after_change():
+    set_fast_path(True)
+    asm = Assembler(base=BASE)
+    asm.emit("movi", "rax", 1)
+    asm.emit("movi", "rbx", 2)
+    asm.emit("movi", "rcx", 3)
+    asm.emit("hlt")
+    program = asm.assemble()
+    memory = VirtualMemory()
+    program.load_into(memory, perms="rwx")
+    full = get_window(memory, BASE)
+    with telemetry.session() as sink:
+        suffix = get_window(memory, BASE + 7)
+    assert sink.counters.get("cpu.decode.suffix_windows") == 1
+    assert "cpu.decode.window_builds" not in sink.counters
+    assert suffix.pcs == full.pcs[1:]
+    assert suffix.thunks[0] is full.thunks[1]
+    assert suffix.resume_pc == full.resume_pc
+    assert get_window(memory, BASE + 7) is suffix
+    # a same-bytes rewrite keeps it...
+    for base, data in program.segments:
+        memory.write_bytes(base, data, check=False)
+    assert get_window(memory, BASE + 7) is suffix
+    # ...a real change in the block rebuilds it
+    asm = Assembler(base=BASE)
+    asm.emit("movi", "rax", 1)
+    asm.emit("movi", "rbx", 2)
+    asm.emit("movi", "rcx", 9)
+    asm.emit("hlt")
+    for base, data in asm.assemble().segments:
+        memory.write_bytes(base, data, check=False)
+    rebuilt = get_window(memory, BASE + 7)
+    assert rebuilt is not suffix
+    assert rebuilt.generation == memory.code_generation
+    state = MachineState(memory, rip=BASE + 7)
+    state.setup_stack(0x7FFF_0000)
+    assert Core().run(state).reason is StopReason.HALT
+    assert state.regs["rcx"] == 9
 
 
 # ----------------------------------------------------------------------

@@ -384,3 +384,87 @@ def test_core_guard_clip_mid_window():
 
     for budget in (1, 3, 10, 57):
         assert run(False, budget) == run(True, budget)
+
+
+# ----------------------------------------------------------------------
+# front-end run-ahead: the fetch-ahead drain and the speculative
+# lookahead consume decoded windows with the fast path on.  Single-
+# stepped enclave victims (EPC access filter installed) run with the
+# fast path off and on on every BTB backend; the BTB is pre-seeded
+# with entries inside the victim's code so predictions land inside
+# window prefixes, on terminators and on junk bytes.
+# ----------------------------------------------------------------------
+def enclave_victims():
+    from repro.victims import ENCLAVE_DATA_BASE
+    bn = build_bn_cmp_victim(nlimbs=2, iters=1, with_yield=False,
+                             data_base=ENCLAVE_DATA_BASE)
+    gcd = build_gcd_victim("3.0", nlimbs=1, with_yield=False,
+                           data_base=ENCLAVE_DATA_BASE)
+    return [
+        ("bn_cmp", bn, {"a": (3 << 70) | 77, "b": (3 << 70) | 5}),
+        ("gcd", gcd, {"ta": 0x3A5C_91, "tb": 0x1F_07}),
+    ]
+
+
+def seed_btb(core, program, stride=7):
+    """Plant entries every ``stride`` bytes of the victim's code (and
+    a little past it), targeting the code start."""
+    from repro.isa import Kind
+    for base, data in program.segments:
+        for pc in range(base + 3, base + len(data) + 24, stride):
+            core.btb.allocate(pc, base, Kind.DIRECT_JUMP)
+
+
+def run_enclave_stepped(victim, inputs, *, fast, config):
+    from repro import telemetry
+    previous = set_fast_path(fast)
+    try:
+        with telemetry.session(trace=True) as sink:
+            host, enclave = victim.new_enclave(inputs)
+            state = host.state
+            state.rip = victim.compiled.start
+            host.memory.context = enclave
+            core = Core(config)
+            seed_btb(core, victim.compiled.program)
+            results = []
+            for _ in range(20_000):
+                result = core.run(state, collect_trace=True,
+                                  max_retired=1)
+                results.append(result)
+                if result.reason is not StopReason.RETIRE_LIMIT:
+                    break
+            observables = core_observables(core, state, results)
+            observables["data"] = {
+                name: enclave.read_back(spec.address, spec.size)
+                for name, spec in victim.layout.arrays.items()}
+            observables["false_hits"] = [
+                event for event in sink.events
+                if event["ev"] == "cpu.core.false_hit"]
+            lookahead = sink.counters.get(
+                "cpu.core.fastpath.lookahead_instructions", 0)
+        return observables, lookahead
+    finally:
+        set_fast_path(previous)
+
+
+_ENCLAVE_VICTIMS = enclave_victims()
+
+
+@pytest.mark.parametrize("backend", ["intel", "arm", "sodor", "orcs"])
+@pytest.mark.parametrize("spec_lookahead", [4, 12])
+@pytest.mark.parametrize("drain_windows", [1, 2])
+@pytest.mark.parametrize("name,victim,inputs", _ENCLAVE_VICTIMS,
+                         ids=[entry[0] for entry in _ENCLAVE_VICTIMS])
+def test_run_ahead_single_step_identical(name, victim, inputs, backend,
+                                         spec_lookahead, drain_windows):
+    from repro.cpu.config import backend_generation
+    config = backend_generation(backend, spec_lookahead=spec_lookahead,
+                                drain_windows=drain_windows)
+    slow, slow_lookahead = run_enclave_stepped(victim, inputs, fast=False,
+                                               config=config)
+    fast, fast_lookahead = run_enclave_stepped(victim, inputs, fast=True,
+                                               config=config)
+    assert slow == fast
+    assert slow["false_hits"], "seeded entries must drive false hits"
+    assert slow_lookahead == 0
+    assert fast_lookahead > 0, "the lookahead never used a window"

@@ -1,5 +1,9 @@
 """Encoder/decoder: round trips, lengths, validation."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -142,6 +146,47 @@ class TestTables:
     def test_semantics_cover_every_mnemonic(self):
         from repro.cpu.semantics import covered_mnemonics
         assert set(ALL_MNEMONICS) <= covered_mnemonics()
+
+
+class TestPrecomputedSpecFields:
+    """``length`` and ``is_control`` are derived fields set once at
+    construction; they stay out of equality, hashing and repr."""
+
+    @pytest.mark.parametrize("mnemonic,length,is_control", [
+        ("nop", 1, False), ("ret", 1, True), ("hlt", 1, False),
+        ("jmp8", 2, True), ("jmp", 5, True), ("call", 5, True),
+        ("jne", 6, True), ("syscall", 2, False), ("lfence", 3, False),
+        ("movabs", 10, False),
+    ])
+    def test_derived_values(self, mnemonic, length, is_control):
+        spec = spec_for(mnemonic)
+        assert spec.length == length
+        assert spec.is_control is is_control
+
+    def test_equality_and_hash_unchanged(self):
+        for spec in SPECS_BY_NAME.values():
+            twin = dataclasses.replace(spec)
+            assert twin == spec and hash(twin) == hash(spec)
+            assert pickle.loads(pickle.dumps(spec)) == spec
+            assert copy.deepcopy(spec).length == spec.length
+            # hash and equality cover exactly the declared fields
+            assert hash(spec) == hash((spec.mnemonic, spec.opcode,
+                                       spec.fmt, spec.kind, spec.cond,
+                                       spec.fusible))
+            assert "length" not in repr(spec)
+            assert "is_control" not in repr(spec)
+
+    def test_fields_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec_for("jmp8").length = 3
+
+    @given(instructions())
+    def test_round_trip_unchanged(self, instruction):
+        blob = encode(instruction)
+        decoded, length = decode(blob, 0)
+        assert decoded == instruction
+        assert length == len(blob) == decoded.spec.length
+        assert decoded.spec is SPECS_BY_OPCODE[blob[0]]
 
 
 class TestPlainRegByteValidation:
