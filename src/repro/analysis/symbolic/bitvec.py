@@ -150,9 +150,6 @@ class BitCtx:
                         self.and_(self.not_(cond), if_false))
 
     # -- word plumbing ------------------------------------------------
-    @staticmethod
-    def is_concrete(word: Word) -> bool:
-        return isinstance(word, int)
 
     @staticmethod
     def bits_of(word: Word) -> Tuple[Bit, ...]:

@@ -13,7 +13,7 @@ Figures 2 and 4 rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 
@@ -78,10 +78,6 @@ class CpuGeneration:
     #: tag BTB entries with a security-domain id so domains never
     #: collide (§8.2 partitioning mitigation; defeats NightVision)
     btb_partitioning: bool = False
-
-    @property
-    def btb_entries(self) -> int:
-        return self.btb_sets * self.btb_ways
 
     @property
     def collision_distance(self) -> int:

@@ -6,15 +6,19 @@ decode-cache granularity.  A :class:`DecodedWindow` captures, for one
 window entry PC, the full straight-line decode up to the block boundary
 or the first control transfer: per-instruction compiled thunks
 (:func:`repro.cpu.semantics.compile_straightline`), issue-cost extras,
-and the fall-through layout.  Both execution engines use it:
+and the fall-through layout.  Its consumers:
 
 * :meth:`repro.cpu.core.Core.run` executes the cached window when the
   BTB prediction cannot interact with it (no entry, or the predicted
   branch-end byte lies at/after the window's terminator region) —
   bit-identical cycle accounting, BTB, LBR and trace behaviour is
   enforced by the differential suite in ``tests/test_fastpath_diff.py``;
-* :func:`repro.cpu.interpret` / :func:`repro.cpu.run_function` execute
-  it unconditionally (the oracle has no micro-architectural state).
+* the core's single-step run-ahead (fetch-ahead drain and speculative
+  lookahead) consumes windows under the same gate;
+* superblocks (below) chain windows across predicted edges;
+* the oracle loop behind :func:`repro.cpu.interpret` and
+  :func:`repro.cpu.run_function` executes it unconditionally (the
+  oracle has no micro-architectural state).
 
 Cache key and invalidation
 --------------------------
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .. import telemetry
 from ..errors import BadOpcode, DecodeError, InvalidInstruction, PageFault
@@ -59,10 +63,6 @@ from .btb import reconstruct_end_byte
 from .costs import EXTRA_ISSUE_COST, MEM_WRITERS
 from .fusion import can_fuse
 from .semantics import compile_straightline
-
-#: kept as module attributes for backwards compatibility — the tables
-#: themselves live in :mod:`repro.cpu.costs` (single source of truth).
-_MEM_WRITERS = MEM_WRITERS
 
 _ENABLED = os.environ.get("NV_FAST_PATH", "1").strip().lower() not in (
     "0", "false", "off", "no")
@@ -135,7 +135,7 @@ class DecodedWindow:
         #: the terminator, the undecodable byte, or the fall-through
         #: into the next block.
         self.resume_pc = resume_pc
-        self.has_store = any(instruction.spec.mnemonic in _MEM_WRITERS
+        self.has_store = any(instruction.spec.mnemonic in MEM_WRITERS
                              for instruction in instructions)
         self.terminator = terminator
         self.decode_error = decode_error

@@ -128,12 +128,6 @@ class BadOpcode(InvalidInstruction):
     past it, so the verdict depends on that one byte alone."""
 
 
-class VectorizationError(CpuError):
-    """A lockstep many-seeds group lost the invariant that makes
-    sharing decode state sound (diverging code generations, mismatched
-    lane setup).  See :mod:`repro.cpu.vector`."""
-
-
 class SystemError_(ReproError):
     """Base class for kernel/scheduler errors."""
 
@@ -261,17 +255,6 @@ class ServiceUnavailable(_StructuredErrorMixin, ServiceError):
                  last_error: str = ""):
         self.attempts = attempts
         self.last_error = last_error
-        super().__init__(message)
-
-
-class ShardQuarantined(_StructuredErrorMixin, ServiceError):
-    """A shard tripped its circuit breaker and was quarantined; raised
-    only where callers asked for strict (non-degraded) completion."""
-
-    def __init__(self, message: str, *, shard_id: str = "",
-                 lost_jobs=()):
-        self.shard_id = shard_id
-        self.lost_jobs = tuple(lost_jobs)
         super().__init__(message)
 
 

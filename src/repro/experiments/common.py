@@ -10,7 +10,7 @@ name without importing :mod:`repro.cli`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .. import telemetry
 from ..cpu.config import CpuGeneration
@@ -83,10 +83,6 @@ def register_experiment(name: str, artefact: str):
         EXPERIMENTS[name] = ExperimentSpec(name, artefact, runner)
         return runner
     return wrap
-
-
-def experiment_names() -> Tuple[str, ...]:
-    return tuple(EXPERIMENTS)
 
 
 def run_experiment(name: str, request: RunRequest) -> str:

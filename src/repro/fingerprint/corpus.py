@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..cpu.interp import run_function
 from ..cpu.state import MachineState
@@ -48,10 +48,6 @@ class CorpusFunction:
     #: measured dynamic trace, relative to the entry
     measured: Tuple[int, ...]
     opt_level: int
-
-    @property
-    def measured_set(self) -> frozenset:
-        return frozenset(self.measured)
 
 
 class _FunctionSynthesizer:

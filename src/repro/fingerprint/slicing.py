@@ -44,9 +44,6 @@ class FunctionTrace:
         """Position-independent PCs (entry subtracted)."""
         return [pc - self.entry for pc in self.pcs]
 
-    def normalized_set(self) -> frozenset:
-        return frozenset(self.normalized())
-
     def __len__(self) -> int:
         return len(self.pcs)
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 import struct
 from typing import Callable, Dict, Optional
 
-from ..errors import PageFault, ProtectionFault
+from ..errors import ProtectionFault
 from .address import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, page_number
-from .paging import PageEntry, PageTable
+from .paging import PageTable
 
 #: access_filter(address, size, access, context) -> None or raises.
 #: Decisions must be page-granular: for a given access kind and
@@ -250,9 +250,6 @@ class VirtualMemory:
             address, struct.pack("<Q", value & _U64_MASK), check=check
         )
 
-    def read_u8(self, address: int, *, check: bool = True) -> int:
-        return self.read_bytes(address, 1, check=check)[0]
-
     def fetch(self, address: int, size: int) -> bytes:
         """Instruction fetch: execute-permission-checked read."""
         return self.read_bytes(address, size, access="execute")
@@ -260,19 +257,12 @@ class VirtualMemory:
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-    def load_program(self, program, perms: str = "rx") -> None:
-        """Map and copy an :class:`AssembledProgram` into this space."""
-        program.load_into(self, perms)
-
     def protect(self, start: int, size: int, perms: str) -> None:
         """Change permissions for every page in ``[start, start+size)``."""
         first = page_number(start)
         last = page_number(start + size - 1)
         for vpn in range(first, last + 1):
             self.page_table.set_perms(vpn, perms)
-
-    def page_entry(self, address: int) -> Optional[PageEntry]:
-        return self.page_table.entry_for_address(address)
 
     def footprint_pages(self) -> int:
         """Number of materialized backing pages (for resource tests)."""

@@ -1,6 +1,6 @@
 """Perf-regression microbenchmark suite (``repro bench``).
 
-Five workloads cover the simulator's hot loops:
+Four workloads cover the simulator's hot loops:
 
 * ``interp_straightline`` — the functional oracle on a long
   straight-line ALU loop (the decoded-window fast path's best case);
@@ -8,9 +8,6 @@ Five workloads cover the simulator's hot loops:
   (fast path plus full BTB/LBR/fusion machinery);
 * ``core_traversal_e2e`` — a complete GCD-victim run through
   ``Core.run`` with trace collection, the paper's Figure 10/12 shape;
-* ``many_seeds`` — N seeds of the GCD victim: vectorized lockstep with
-  shared decode state (:mod:`repro.cpu.vector`) on the fast side, N×1
-  sequential private-cache runs on the slow side;
 * ``campaign_smoke`` — one registered experiment end-to-end
   (``fig2``), i.e. the unit of work campaigns multiply.
 
@@ -33,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import statistics
 import sys
 import time
@@ -41,15 +37,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..cpu import (Core, MachineState, StopReason, fast_path_enabled,
-                   interpret, set_fast_path)
+from ..cpu import Core, MachineState, StopReason, interpret, set_fast_path
 from ..cpu.config import DEFAULT_GENERATION
 from ..isa.assembler import Assembler
 from ..memory.memory import VirtualMemory
 
 #: bump when the payload layout changes incompatibly.
 #: v2: per-side ``{median, min, runs}`` timing records (best-of-K with
-#: warmup) and the ``many_seeds`` vectorized workload.
+#: warmup).
 SCHEMA_VERSION = 2
 
 #: default regression threshold for baseline comparison (25%)
@@ -234,61 +229,6 @@ def _bench_core_traversal(quick: bool) -> BenchResult:
                        slow, fast)
 
 
-#: lanes in the ``many_seeds`` workload (the paper's campaigns sweep
-#: seeds by the thousand; eight is enough to amortize shared decode)
-MANY_SEEDS_LANES = 8
-
-
-def _bench_many_seeds(quick: bool) -> BenchResult:
-    """N seeds of the GCD victim, vectorized vs N×1 sequential.
-
-    The fast side runs :class:`repro.cpu.vector.VectorGroup` — eight
-    lanes in lockstep through shared icache/window state with the fast
-    path on.  The slow side (fast path forced off by ``_measure``)
-    runs the same eight lanes sequentially with private caches: the
-    N×1 reference a campaign without ``--vectorize`` executes.
-    Architectural results are bit-identical either way (pinned by
-    ``tests/test_vector.py``); only the wall-clock differs.
-    """
-    from ..cpu.vector import VectorLane, run_many_seeds
-    from ..victims.library import build_gcd_victim
-
-    victim = build_gcd_victim(nlimbs=2 if quick else 4)
-    bits = victim.nlimbs * 64 - 2
-
-    def inputs_for(seed: int) -> Dict[str, int]:
-        rng = random.Random(f"many-seeds:{seed}")
-        return {
-            "ta": rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1,
-            "tb": rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1,
-        }
-
-    def make_lane(index: int, seed: int) -> VectorLane:
-        memory = victim.new_memory(inputs_for(seed))
-        state = MachineState(memory)
-        state.setup_stack(0x7FFF_0000_0000)
-        state.rip = victim.compiled.start
-        return VectorLane(index=index, seed=seed,
-                          core=Core(DEFAULT_GENERATION), state=state,
-                          max_instructions=5_000_000)
-
-    def on_syscall(lane: VectorLane, result) -> bool:
-        lane.state.regs["rax"] = 0         # yields are no-ops
-        return True
-
-    def workload() -> int:
-        lanes = run_many_seeds(make_lane, list(range(MANY_SEEDS_LANES)),
-                               collect_trace=True, on_syscall=on_syscall,
-                               vectorize=fast_path_enabled())
-        for lane in lanes:
-            if lane.reason is not StopReason.HALT:
-                raise RuntimeError(f"unexpected stop: {lane.reason}")
-        return sum(lane.instructions for lane in lanes)
-
-    work, slow, fast = _measure(workload, rounds=2)
-    return BenchResult("many_seeds", "instructions", work, slow, fast)
-
-
 def _bench_campaign_smoke(quick: bool) -> BenchResult:
     from ..experiments.common import RunRequest, run_experiment
 
@@ -304,7 +244,6 @@ _WORKLOADS: Tuple[Callable[[bool], BenchResult], ...] = (
     _bench_interp_straightline,
     _bench_core_loop,
     _bench_core_traversal,
-    _bench_many_seeds,
     _bench_campaign_smoke,
 )
 

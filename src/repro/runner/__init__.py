@@ -35,8 +35,8 @@ from typing import Callable, Dict, List, Optional
 
 from .. import telemetry
 from ..errors import CampaignError, SimulationTimeout, WorkerCrashed
-from .artifacts import (atomic_write_bytes, atomic_write_json,
-                        atomic_write_text, digest_text)
+from ..storage import (atomic_write_bytes, atomic_write_json,
+                       atomic_write_text, digest_text)
 from .jobs import (JobRecord, JobSpec, JobStatus, KIND_EXPERIMENT,
                    KIND_SELFTEST, experiment_jobs, specs_from_payload)
 from .manifest import MANIFEST_NAME, RunManifest, list_campaigns

@@ -44,7 +44,6 @@ SUPPORTED_SCHEMAS = (1, 2)
 SCHEMA_TAG = "repro.runner.manifest"
 
 MANIFEST_NAME = "manifest.json"
-ARTIFACT_DIR = "artifacts"
 
 
 @dataclass
@@ -119,10 +118,6 @@ class RunManifest:
     @property
     def path(self) -> Path:
         return self.directory / MANIFEST_NAME
-
-    @property
-    def artifact_dir(self) -> Path:
-        return self.directory / ARTIFACT_DIR
 
     def save(self) -> None:
         payload = {

@@ -46,7 +46,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .. import telemetry
 from ..errors import AdmissionRejected, CampaignError, ServiceError
-from ..runner.artifacts import read_json
+from ..storage import read_json
 from ..runner.jobs import specs_from_payload
 from .scheduler import (CAMPAIGN_QUEUED, SERVICE_MANIFEST_NAME,
                         TERMINAL_STATES, CampaignService,

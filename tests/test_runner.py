@@ -22,8 +22,8 @@ from repro.runner import (ChaosMonkey, JobRecord, JobSpec, JobStatus,
                           KIND_SELFTEST, RunManifest, execute_job,
                           experiment_jobs, is_transient, list_campaigns,
                           run_campaign)
-from repro.runner.artifacts import (atomic_write_json, atomic_write_text,
-                                    digest_text, read_json)
+from repro.storage import (atomic_write_json, atomic_write_text,
+                           digest_text, read_json)
 
 
 def _selftest(job_id, program, **kwargs):

@@ -104,19 +104,10 @@ def test_atomic_write_json_bytes_unchanged(tmp_path):
                "seed": None, "created": "2026-08-06T12:00:00",
                "unicode": "münchen"}
     new_path = atomic_write_json(tmp_path / "new.json", payload)
-    # the former repro.runner.artifacts serialization, verbatim
+    # the runner's former writer serialization, verbatim
     legacy = (json.dumps(payload, indent=2, sort_keys=True,
                          ensure_ascii=False) + "\n").encode("utf-8")
     assert new_path.read_bytes() == legacy
-
-
-def test_runner_shim_reexports_storage_writer(tmp_path):
-    from repro.runner import artifacts
-    from repro.storage import atomic as storage_atomic
-    assert artifacts.atomic_write_json is \
-        storage_atomic.atomic_write_json
-    assert artifacts.atomic_write_bytes is \
-        storage_atomic.atomic_write_bytes
 
 
 def test_atomic_write_dispatches_text_and_bytes(tmp_path):

@@ -58,7 +58,6 @@ SCOPED_DIRS = (
 
 #: (relative path, enclosing function) pairs allowed to read the clock
 DEADLINE_GUARD_ALLOWLIST = {
-    ("src/repro/cpu/interp.py", "_check_deadline"),
     ("src/repro/cpu/interp.py", "_check_deadline_now"),
 }
 
